@@ -8,15 +8,20 @@ GO ?= go
 # the file this expands to, so bench jobs no longer need per-PR edits.
 BENCH_TAG ?= pr6
 
-.PHONY: all build test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression
+.PHONY: all build test perfbench-test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression
 
-all: build lint test
+all: build lint test perfbench-test
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# The benchmark's helper tests live in their own module (perfbench/go.mod),
+# which the root ./... pattern does not reach.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	$(GO) vet ./...

@@ -141,14 +141,14 @@ func benchProfile() (*ecc.Code, *core.Profile) {
 	return code, core.ExactProfile(code, core.Set12.Patterns(16))
 }
 
-func benchSolve(b *testing.B, maxSol int, solve func(context.Context, *core.Profile, core.SolveOptions) (*core.Result, error)) {
+func benchSolve(b *testing.B, maxSol int, eager bool) {
 	b.Helper()
 	code, prof := benchProfile()
-	opts := core.SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: maxSol}
+	opts := core.SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: maxSol, EagerEncode: eager}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solve(context.Background(), prof, opts)
+		res, err := core.Solve(context.Background(), prof, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,21 +158,23 @@ func benchSolve(b *testing.B, maxSol int, solve func(context.Context, *core.Prof
 	}
 }
 
-// BenchmarkSolveEager is the historical behavior: every profile entry
-// encoded up front, then the standard unique-or-not check.
-func BenchmarkSolveEager(b *testing.B) { benchSolve(b, 0, core.Solve) }
+// BenchmarkSolveEager is the reference encoding (SolveOptions.EagerEncode):
+// every profile entry encoded up front, then the standard unique-or-not
+// check.
+func BenchmarkSolveEager(b *testing.B) { benchSolve(b, 0, true) }
 
-// BenchmarkSolveIncremental is the same check on the incremental engine
-// (deferred entries, persistent solver).
-func BenchmarkSolveIncremental(b *testing.B) { benchSolve(b, 0, core.SolveIncremental) }
+// BenchmarkSolveIncremental is the same check on core.Solve's default
+// deferred encoding (persistent solver, multi-CHARGED entries encoded only
+// when a candidate violates them).
+func BenchmarkSolveIncremental(b *testing.B) { benchSolve(b, 0, false) }
 
 // BenchmarkUniquenessLoopEager exhausts the whole model space (the
 // uniqueness blocking-clause loop runs until UNSAT) with eager encoding.
-func BenchmarkUniquenessLoopEager(b *testing.B) { benchSolve(b, -1, core.Solve) }
+func BenchmarkUniquenessLoopEager(b *testing.B) { benchSolve(b, -1, true) }
 
-// BenchmarkUniquenessLoopIncremental is the same exhaustion on the
-// incremental engine.
-func BenchmarkUniquenessLoopIncremental(b *testing.B) { benchSolve(b, -1, core.SolveIncremental) }
+// BenchmarkUniquenessLoopIncremental is the same exhaustion on the deferred
+// default.
+func BenchmarkUniquenessLoopIncremental(b *testing.B) { benchSolve(b, -1, false) }
 
 // BenchmarkRecoverFullSweep / BenchmarkRecoverPlanner are the end-to-end
 // pair: exhaustive-sweep recovery vs. the adaptive planner, which stops
@@ -446,7 +448,7 @@ func benchSolveBackend(b *testing.B, factory func() sat.Backend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.SolveIncremental(context.Background(), prof, opts)
+		res, err := core.Solve(context.Background(), prof, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,10 +26,11 @@
 // RecoverOptions.UsePlanner it becomes RecoverPlanned, the adaptive
 // collect↔solve loop); Observe is its experimental front half (discovery +
 // collection) for callers that aggregate across chips (internal/parallel
-// does); SolveIncremental/SolveSession are the incremental solve engine
-// (Solve and SolveLazy are thin shims over it); Planner interleaves
-// collection with solving and stops at uniqueness; SolveStage is the
-// cache-aware solve used by both exhaustive Recover paths.
+// does); Solve is the one exact solve entry, a SolveSession that defers
+// multi-CHARGED entries until a candidate violates them (SolveNoisy is its
+// noise-tolerant counterpart); Planner interleaves collection with solving
+// and stops at uniqueness; SolveStage is the cache-aware solve used by both
+// exhaustive Recover paths and by repro's Pipeline.Solve.
 // Profile.Canonical/Profile.Hash define the profile's content address —
 // the key of the recovered-code registry (internal/store) — and SolveCache
 // is the interface through which a registry short-circuits repeated solves

@@ -238,14 +238,14 @@ func TestCollectedAntiProfileMatchesExact(t *testing.T) {
 }
 
 // End-to-end recovery using both true- and anti-cell regions of a
-// manufacturer C chip, with the lazy solver.
+// manufacturer C chip: the anti entries go through Solve's deferred (lazy)
+// encoding like every other multi-CHARGED entry.
 func TestRecoverWithAntiRowsAndLazySolver(t *testing.T) {
 	chip := testChip(t, ondie.MfrC, 384, 0)
 	opts := core.DefaultRecoverOptions()
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.UseAntiRows = true
-	opts.UseLazySolver = true
 	rep, err := core.Recover(context.Background(), chip, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -136,18 +136,19 @@ func TestAntiProfilesNarrowTheSearch(t *testing.T) {
 	}
 }
 
-// SolveLazy must agree with Solve on every outcome.
+// Solve's deferred (lazy, CEGAR) encoding must agree with the eager
+// reference encoding on every outcome.
 func TestSolveLazyMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 57))
 	for trial := 0; trial < 6; trial++ {
 		k := 6 + rng.IntN(6)
 		code := ecc.RandomHamming(k, rng)
 		prof := ExactProfile(code, Set12.Patterns(k))
-		eager, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
+		eager, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1, EagerEncode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := SolveLazy(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
+		lazy, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +168,13 @@ func TestSolveLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// The lazy solver should materialize only a fraction of the 2-CHARGED
-// entries.
+// Solve's deferred encoding should materialize only a fraction of the
+// 2-CHARGED entries.
 func TestSolveLazyDefersMostEntries(t *testing.T) {
 	rng := rand.New(rand.NewPCG(58, 59))
 	code := ecc.RandomHamming(16, rng)
 	prof := ExactProfile(code, Set12.Patterns(16))
-	lazy, err := SolveLazy(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
+	lazy, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
 	if err != nil {
 		t.Fatal(err)
 	}

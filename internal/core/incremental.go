@@ -9,14 +9,14 @@ import (
 	"repro/internal/sat"
 )
 
-// This file is the incremental solve engine behind Solve, SolveLazy,
-// SolveIncremental and the Planner. One SolveSession owns one SAT backend
-// for its whole life: profile entries stream in (Feed), the uniqueness
-// blocking-clause loop and every pattern-increment re-solve run on the same
-// solver instance, so learned clauses — the expensive part of CDCL search —
-// are never thrown away. That is what makes solve-while-you-collect
-// planning affordable: each new batch of patterns re-solves an already
-// hot solver instead of rebuilding the CNF from scratch.
+// This file is the incremental solve engine behind Solve and the Planner.
+// One SolveSession owns one SAT backend for its whole life: profile entries
+// stream in (Feed), the uniqueness blocking-clause loop and every
+// pattern-increment re-solve run on the same solver instance, so learned
+// clauses — the expensive part of CDCL search — are never thrown away.
+// That is what makes solve-while-you-collect planning affordable: each new
+// batch of patterns re-solves an already hot solver instead of rebuilding
+// the CNF from scratch.
 
 // SolveSession is a persistent incremental search for the ECC functions
 // consistent with a growing miscorrection profile. Entries stream in via
@@ -249,16 +249,19 @@ func (ss *SolveSession) Enumerate(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// SolveIncremental finds the ECC functions consistent with a miscorrection
-// profile by streaming the profile into a fresh SolveSession entry by entry
-// and enumerating candidates on the persistent solver. Semantically it is
-// identical to the eager Solve — the candidate sets are bit-identical (see
-// the cross-check property test) — but multi-CHARGED entries are deferred
-// until a candidate model actually violates them, which usually leaves most
-// of the profile un-encoded (Result.PatternsSkipped). Solve and SolveLazy
-// are thin shims over this engine; the Planner drives the same session
-// directly, interleaving Feeds with collection.
-func SolveIncremental(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
+// Solve finds the ECC functions consistent with a miscorrection profile
+// (paper §5.3), including the uniqueness check: it streams the profile into
+// a fresh SolveSession and enumerates candidates on the persistent solver.
+// 1-CHARGED entries are encoded up front; multi-CHARGED entries are deferred
+// until a candidate model violates them (counterexample-guided refinement),
+// which usually leaves most of a {1,2}-CHARGED profile un-encoded
+// (Result.PatternsSkipped). The candidate set is bit-identical to encoding
+// every entry eagerly (SolveOptions.EagerEncode, the reference the
+// differential tests compare against). The Planner drives the same session
+// directly, interleaving Feeds with collection. Cancelling ctx interrupts
+// the SAT search at its next conflict, restart or 64th decision and returns
+// ctx.Err().
+func Solve(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
 	ss, err := NewSolveSession(profile.K, opts)
 	if err != nil {
 		return nil, err

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/ecc"
+	"repro/internal/ondie"
 	"repro/internal/sat"
 )
 
@@ -36,14 +39,70 @@ func sameCodeSet(t *testing.T, a, b []*ecc.Code) bool {
 	return true
 }
 
-// TestIncrementalMatchesEagerProperty is the golden cross-check: for
-// randomized codes across dataword lengths, SolveIncremental (deferred
-// CEGAR encoding on the persistent backend) must return bit-identical
-// candidate sets to the legacy eager Solve — in the unique case, the
-// multi-candidate case (full enumeration of an underdetermined profile)
-// and the UNSAT case.
-func TestIncrementalMatchesEagerProperty(t *testing.T) {
+// solveBoth runs Solve (deferred encoding) and the eager reference
+// (EagerEncode) on one profile and fails unless they agree on the candidate
+// set, Unique and Exhausted. It returns the deferred result.
+func solveBoth(t *testing.T, name string, prof *Profile, opts SolveOptions) *Result {
+	t.Helper()
 	ctx := context.Background()
+	deferred, err := Solve(ctx, prof, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	eagerOpts := opts
+	eagerOpts.EagerEncode = true
+	eager, err := Solve(ctx, prof, eagerOpts)
+	if err != nil {
+		t.Fatalf("%s (eager): %v", name, err)
+	}
+	if !sameCodeSet(t, eager.Codes, deferred.Codes) || eager.Exhausted != deferred.Exhausted || eager.Unique != deferred.Unique {
+		t.Fatalf("%s: eager %d codes (unique=%v, exhausted=%v) vs deferred %d codes (unique=%v, exhausted=%v)",
+			name, len(eager.Codes), eager.Unique, eager.Exhausted,
+			len(deferred.Codes), deferred.Unique, deferred.Exhausted)
+	}
+	if eager.PatternsSkipped != 0 || eager.PatternsUsed != len(prof.Entries) {
+		t.Fatalf("%s: eager encoding used %d and skipped %d of %d entries",
+			name, eager.PatternsUsed, eager.PatternsSkipped, len(prof.Entries))
+	}
+	return deferred
+}
+
+// collectedProfile is the thresholded profile Recover would solve for a
+// simulated chip (the repro.SimulatedChip configuration) under fast windows:
+// a 4–48 minute sweep, three rounds, the §5.2 filter at its defaults.
+func collectedProfile(t *testing.T, m ondie.Manufacturer, k int, seed uint64, anti bool) *Profile {
+	t.Helper()
+	rows := 192
+	if m == ondie.MfrC {
+		rows = 384
+	}
+	chip := ondie.MustNew(ondie.Config{Manufacturer: m, DataBits: k, Banks: 1, Rows: rows, RegionsPerRow: 16, Seed: seed})
+	opts := DefaultRecoverOptions()
+	for w := 4; w <= 48; w += 4 {
+		opts.Collect.Windows = append(opts.Collect.Windows, time.Duration(w)*time.Minute)
+	}
+	opts.Collect.Rounds = 3
+	opts.UseAntiRows = anti
+	obs, err := Observe(context.Background(), chip, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := obs.Counts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount)
+	if obs.AntiCounts != nil {
+		prof = prof.Append(obs.AntiCounts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount))
+	}
+	return prof
+}
+
+// TestIncrementalMatchesEagerProperty is the golden cross-check: Solve
+// (deferred CEGAR encoding on the persistent backend) must return
+// bit-identical candidate sets, Unique and Exhausted to the eager reference
+// encoding — on closed-form profiles in the unique case, the
+// multi-candidate case (full enumeration of an underdetermined profile) and
+// the UNSAT case, at the solve-exact benchmark's k=24, and on profiles
+// collected from simulated chips and thresholded, including anti-cell
+// entries and a k=32 full sweep.
+func TestIncrementalMatchesEagerProperty(t *testing.T) {
 	for _, k := range []int{4, 6, 8, 10} {
 		for seed := uint64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(k)))
@@ -52,40 +111,17 @@ func TestIncrementalMatchesEagerProperty(t *testing.T) {
 
 			// Unique / fully determined: the {1,2}-CHARGED profile.
 			full := ExactProfile(code, Set12.Patterns(k))
-			eager, err := Solve(ctx, full, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc, err := SolveIncremental(ctx, full, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCodeSet(t, eager.Codes, inc.Codes) || eager.Exhausted != inc.Exhausted || eager.Unique != inc.Unique {
-				t.Fatalf("k=%d seed=%d full profile: eager %d codes (unique=%v) vs incremental %d codes (unique=%v)",
-					k, seed, len(eager.Codes), eager.Unique, len(inc.Codes), inc.Unique)
-			}
-			if !eager.Unique {
+			res := solveBoth(t, fmt.Sprintf("k=%d seed=%d full profile", k, seed), full, opts)
+			if !res.Unique {
 				// Shortened-code Set12 profiles are unique per the paper;
 				// random full-length ones always are.
-				t.Logf("k=%d seed=%d: full profile not unique (%d candidates)", k, seed, len(eager.Codes))
+				t.Logf("k=%d seed=%d: full profile not unique (%d candidates)", k, seed, len(res.Codes))
 			}
 
 			// Multi-candidate: the 1-CHARGED profile alone typically leaves
 			// several consistent functions; enumerate them all.
 			part := ExactProfile(code, Set1.Patterns(k))
-			eager1, err := Solve(ctx, part, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc1, err := SolveIncremental(ctx, part, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCodeSet(t, eager1.Codes, inc1.Codes) || eager1.Exhausted != inc1.Exhausted {
-				t.Fatalf("k=%d seed=%d 1-CHARGED profile: eager %d codes vs incremental %d codes",
-					k, seed, len(eager1.Codes), len(inc1.Codes))
-			}
-			if len(eager1.Codes) == 0 {
+			if res := solveBoth(t, fmt.Sprintf("k=%d seed=%d 1-CHARGED profile", k, seed), part, opts); len(res.Codes) == 0 {
 				t.Fatalf("k=%d seed=%d: exact 1-CHARGED profile has no consistent code", k, seed)
 			}
 
@@ -102,20 +138,59 @@ func TestIncrementalMatchesEagerProperty(t *testing.T) {
 				}
 			}
 			bad.Entries = append(bad.Entries, Entry{Pattern: flip.Pattern, Possible: flipped})
-			eagerU, err := Solve(ctx, bad, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			incU, err := SolveIncremental(ctx, bad, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(eagerU.Codes) != 0 || len(incU.Codes) != 0 || !eagerU.Exhausted || !incU.Exhausted {
-				t.Fatalf("k=%d seed=%d contradictory profile: eager %d codes (exhausted=%v), incremental %d codes (exhausted=%v)",
-					k, seed, len(eagerU.Codes), eagerU.Exhausted, len(incU.Codes), incU.Exhausted)
+			if res := solveBoth(t, fmt.Sprintf("k=%d seed=%d contradictory profile", k, seed), bad, opts); len(res.Codes) != 0 || !res.Exhausted {
+				t.Fatalf("k=%d seed=%d contradictory profile: %d codes (exhausted=%v)", k, seed, len(res.Codes), res.Exhausted)
 			}
 		}
 	}
+
+	t.Run("exact-k24", func(t *testing.T) {
+		for seed := uint64(0); seed < 3; seed++ {
+			code := ecc.RandomHamming(24, rand.New(rand.NewPCG(seed, 24)))
+			prof := ExactProfile(code, Set12.Patterns(24))
+			res := solveBoth(t, fmt.Sprintf("seed=%d", seed), prof, SolveOptions{ParityBits: code.ParityBits(), MaxSolutions: -1})
+			if !res.Unique || !res.Codes[0].EquivalentTo(code) {
+				t.Fatalf("seed=%d: k=24 {1,2}-CHARGED profile not uniquely recovered (%d candidates)", seed, len(res.Codes))
+			}
+		}
+	})
+
+	t.Run("collected-k16", func(t *testing.T) {
+		for _, m := range []ondie.Manufacturer{ondie.MfrA, ondie.MfrB, ondie.MfrC} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				prof := collectedProfile(t, m, 16, seed, false)
+				solveBoth(t, fmt.Sprintf("mfr=%s seed=%d", m, seed), prof, SolveOptions{MaxSolutions: -1})
+			}
+		}
+	})
+
+	t.Run("collected-anti", func(t *testing.T) {
+		for seed := uint64(1); seed <= 2; seed++ {
+			prof := collectedProfile(t, ondie.MfrC, 16, seed, true)
+			anti := 0
+			for _, e := range prof.Entries {
+				if e.Anti {
+					anti++
+				}
+			}
+			if anti == 0 {
+				t.Fatalf("seed=%d: manufacturer C profile has no anti-cell entries", seed)
+			}
+			solveBoth(t, fmt.Sprintf("seed=%d", seed), prof, SolveOptions{MaxSolutions: -1})
+		}
+	})
+
+	// The full {1,2}-CHARGED sweep of a k=32 simulated chip thresholds to a
+	// contradictory profile (a known collection defect, not a solver one);
+	// the two encodings must agree on it all the same.
+	t.Run("collected-k32-full-sweep", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("eager k=32 solve is slow; skipped in -short mode")
+		}
+		prof := collectedProfile(t, ondie.MfrB, 32, 1, false)
+		res := solveBoth(t, "mfr=B seed=1", prof, SolveOptions{})
+		t.Logf("k=32 full sweep: %d candidates (exhausted=%v) from %d entries", len(res.Codes), res.Exhausted, len(prof.Entries))
+	})
 }
 
 // TestIncrementalSkipsPatterns: on a profile the 1-CHARGED entries nearly
@@ -125,7 +200,7 @@ func TestIncrementalSkipsPatterns(t *testing.T) {
 	k := 16
 	code := ecc.RandomHamming(k, rand.New(rand.NewPCG(7, 7)))
 	prof := ExactProfile(code, Set12.Patterns(k))
-	res, err := SolveIncremental(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
+	res, err := Solve(context.Background(), prof, SolveOptions{ParityBits: code.ParityBits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +256,7 @@ func TestSolveSessionResume(t *testing.T) {
 			len(first.Codes), len(second.Codes))
 	}
 
-	oneShot, err := SolveIncremental(ctx, prof, opts)
+	oneShot, err := Solve(ctx, prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +283,7 @@ func TestSolveDimacsBackend(t *testing.T) {
 			return rec
 		},
 	}
-	res, err := SolveIncremental(context.Background(), prof, opts)
+	res, err := Solve(context.Background(), prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

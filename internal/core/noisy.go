@@ -279,7 +279,7 @@ func (ns *NoisySolveSession) event(candidates int, confidence float64) Event {
 //
 // The Result always carries a non-nil Noise block. With a clean profile
 // the answer is identical to the exact path's — no entry is ever dropped
-// when the system is satisfiable, so Codes matches SolveIncremental
+// when the system is satisfiable, so Codes matches Solve
 // bit-for-bit and Confidence is 1.0 on a unique recovery.
 func (ns *NoisySolveSession) Solve(ctx context.Context) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
@@ -373,7 +373,7 @@ func (ns *NoisySolveSession) Solve(ctx context.Context) (*Result, error) {
 // SolveNoisy finds the ECC functions consistent with most of a
 // miscorrection profile by streaming it into a fresh NoisySolveSession and
 // running the drop-k relaxation (see NoisySolveSession.Solve). It is the
-// noise-tolerant counterpart of SolveIncremental: with a clean profile the
+// noise-tolerant counterpart of Solve: with a clean profile the
 // candidate set is identical and Noise.Confidence is 1.0 on a unique
 // recovery; with corrupted entries the relaxation retracts UNSAT-core
 // members (least-supported first, per opts.Noisy.Support) until a code is

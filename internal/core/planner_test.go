@@ -63,7 +63,11 @@ func TestPlannerStopsEarly(t *testing.T) {
 		t.Fatal("planner did not record an early decision")
 	}
 
-	full, err := core.Solve(context.Background(), core.ExactProfile(code, core.Set12.Patterns(k)), opts.Solve)
+	// The eager reference encoding of the full sweep must land on the same
+	// canonical code as the planner's deferred session.
+	fullOpts := opts.Solve
+	fullOpts.EagerEncode = true
+	full, err := core.Solve(context.Background(), core.ExactProfile(code, core.Set12.Patterns(k)), fullOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

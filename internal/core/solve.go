@@ -23,8 +23,10 @@ type SolveOptions struct {
 	// MaxConflicts bounds SAT effort per Solve call (0 = unlimited).
 	MaxConflicts int64
 	// EagerEncode encodes every profile entry up front instead of deferring
-	// multi-CHARGED entries for counterexample-guided refinement. Eager is
-	// the historical Solve behavior; the deferred default usually encodes a
+	// multi-CHARGED entries for counterexample-guided refinement. It is the
+	// reference encoding that differential tests compare the deferred
+	// default against (and that the ablation figure and the CNF corpus
+	// generator ask for explicitly); the deferred default usually encodes a
 	// small fraction of the entries (Result.PatternsSkipped reports how
 	// many were never needed).
 	EagerEncode bool
@@ -88,11 +90,12 @@ type Result struct {
 	// Vars and Clauses describe the CNF encoding size.
 	Vars, Clauses int
 	// PatternsUsed counts profile entries actually encoded into the CNF;
-	// PatternsSkipped counts entries the deferred (incremental) engine
-	// never had to materialize. Eager solves use every entry.
+	// PatternsSkipped counts deferred multi-CHARGED entries no candidate
+	// model ever violated, so they were never encoded (zero under
+	// EagerEncode).
 	PatternsUsed, PatternsSkipped int
 	// LazyRefinements counts deferred pattern entries materialized because
-	// a candidate model violated them (always zero for eager solves).
+	// a candidate model violated them (always zero under EagerEncode).
 	LazyRefinements int
 	// Noise reports the drop-k relaxation outcome of a noisy solve
 	// (SolveOptions.Noisy): entries retained vs dropped, the confidence of
@@ -420,16 +423,4 @@ func (e *encoder) pVars() []int {
 		out = append(out, e.pVar[i]...)
 	}
 	return out
-}
-
-// Solve finds the ECC functions consistent with a miscorrection profile
-// (paper §5.3) with every entry encoded eagerly — the historical entry
-// point, now a thin shim over the incremental engine (see SolveIncremental
-// and SolveSession; the solver instance, with all its learned clauses,
-// persists across the determine phase and the uniqueness blocking-clause
-// loop). Cancelling ctx interrupts the SAT search at its next conflict,
-// restart or 64th decision and returns ctx.Err().
-func Solve(ctx context.Context, profile *Profile, opts SolveOptions) (*Result, error) {
-	opts.EagerEncode = true
-	return SolveIncremental(ctx, profile, opts)
 }

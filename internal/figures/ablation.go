@@ -22,8 +22,9 @@ func init() {
 //     profiles are ambiguous, how much does adding the 1-CHARGED anti-cell
 //     profile narrow the candidate set?
 //  2. Lazy (CEGAR) solving: how many of the k(k-1)/2 deferred 2-CHARGED
-//     entries does SolveLazy actually materialize, and how do the two
-//     solvers' times compare?
+//     entries does core.Solve actually materialize, and how does its time
+//     compare with the eager reference encoding (SolveOptions.EagerEncode),
+//     which this figure requests explicitly?
 func Ablation(ctx context.Context, w io.Writer, scale Scale) error {
 	ks := []int{6, 7, 8, 10}
 	trials := 6
@@ -84,13 +85,13 @@ func Ablation(ctx context.Context, w io.Writer, scale Scale) error {
 		code := ecc.RandomHamming(k, rng)
 		prof := core.ExactProfile(code, core.Set12.Patterns(k))
 		startEager := time.Now()
-		eager, err := core.Solve(ctx, prof, core.SolveOptions{ParityBits: code.ParityBits()})
+		eager, err := core.Solve(ctx, prof, core.SolveOptions{ParityBits: code.ParityBits(), EagerEncode: true})
 		if err != nil {
 			return err
 		}
 		eagerTime := time.Since(startEager)
 		startLazy := time.Now()
-		lazy, err := core.SolveLazy(ctx, prof, core.SolveOptions{ParityBits: code.ParityBits()})
+		lazy, err := core.Solve(ctx, prof, core.SolveOptions{ParityBits: code.ParityBits()})
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -170,5 +171,63 @@ func TestDedupeDistinguishesSpecs(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitTerminal(t, ts.URL, id)
+	}
+}
+
+// TestDedupeIgnoresDeprecatedLazySolver: use_lazy_solver is an accepted
+// no-op kept for wire compatibility, so a body carrying it is still a 202
+// and concurrent submissions differing only in that field share one job.
+func TestDedupeIgnoresDeprecatedLazySolver(t *testing.T) {
+	plain := JobSpec{Type: "recover", Manufacturer: "B", K: 16, Chips: 2, Seed: 11}
+	lazy := plain
+	lazy.DeprecatedLazySolver = true
+	if dedupeKey(plain) != dedupeKey(lazy) {
+		t.Fatalf("use_lazy_solver changed the dedupe key:\n%s\n%s", dedupeKey(plain), dedupeKey(lazy))
+	}
+
+	srv, ts := newTestServer(t)
+	bodies := []string{
+		`{"type":"recover","manufacturer":"B","k":16,"chips":2,"seed":11}`,
+		`{"type":"recover","manufacturer":"B","k":16,"chips":2,"seed":11,"use_lazy_solver":true}`,
+	}
+	ids := make([]string, len(bodies))
+	errs := make([]error, len(bodies))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body string) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				errs[i] = fmt.Errorf("status %s, want 202", resp.Status)
+				return
+			}
+			var st JobStatus
+			errs[i] = json.NewDecoder(resp.Body).Decode(&st)
+			ids[i] = st.ID
+		}(i, body)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("specs differing only in use_lazy_solver ran as jobs %s and %s", ids[0], ids[1])
+	}
+	if hits := srv.metrics.dedupeHits.Value(); hits != 1 {
+		t.Fatalf("dedupe hits = %d, want 1", hits)
+	}
+	if final := waitTerminal(t, ts.URL, ids[0]); final.State != StateSucceeded {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
 	}
 }

@@ -37,7 +37,12 @@ type JobSpec struct {
 	Rounds           int    `json:"rounds,omitempty"`             // window-sweep rounds (default 3)
 	MaxWindowMinutes int    `json:"max_window_minutes,omitempty"` // largest refresh window (default 48)
 	UseAntiRows      bool   `json:"use_anti_rows,omitempty"`
-	UseLazySolver    bool   `json:"use_lazy_solver,omitempty"`
+	// DeprecatedLazySolver is the retired use_lazy_solver switch, accepted
+	// and ignored so existing clients' bodies still decode: every exact
+	// solve now defers multi-CHARGED entries.
+	//
+	// Deprecated: a no-op; it does not affect the job or its dedupe key.
+	DeprecatedLazySolver bool `json:"use_lazy_solver,omitempty"`
 	// Plan enables the adaptive pattern planner: collection proceeds in
 	// solver-guided batches on a persistent incremental SAT session and
 	// stops as soon as the code is uniquely determined. The result then
@@ -244,9 +249,6 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 		}
 		if spec.UseAntiRows {
 			opts = append(opts, repro.WithAntiRows())
-		}
-		if spec.UseLazySolver {
-			opts = append(opts, repro.WithLazySolver())
 		}
 		if spec.Plan {
 			opts = append(opts, repro.WithPlanner())

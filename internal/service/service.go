@@ -711,10 +711,12 @@ func (s *Server) start(j *job, exec Execution) {
 		// and immediately inspects the store (or restarts the server) finds
 		// the terminal record already durable.
 		s.persistJob(j)
-		j.invalidateStatus()
-
+		// Count the job in /metrics before its terminal status becomes
+		// visible, so a client that observes the terminal state and then
+		// scrapes always finds the job on the completion counters.
 		state, errText, started, finished := j.snapshotState()
 		s.metrics.observeFinished(j.spec.Type, state, started, finished, result)
+		j.invalidateStatus()
 		if err != nil {
 			j.span.SetError(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/einsim"
+	"repro/internal/sat"
 )
 
 // TestPipelineRecover runs the new functional-options API end to end and
@@ -101,7 +102,6 @@ func TestPipelineOptions(t *testing.T) {
 		repro.WithTemperature(45),
 		repro.WithMaxRows(12),
 		repro.WithAntiRows(),
-		repro.WithLazySolver(),
 		repro.WithThreshold(1e-3, 5),
 		repro.WithParityBits(6),
 		repro.WithSolveBudget(1234),
@@ -114,7 +114,6 @@ func TestPipelineOptions(t *testing.T) {
 		opts.Collect.TempC != 45 ||
 		opts.MaxRows != 12 ||
 		!opts.UseAntiRows ||
-		!opts.UseLazySolver ||
 		opts.ThresholdFraction != 1e-3 ||
 		opts.ThresholdMinCount != 5 ||
 		opts.Solve.ParityBits != 6 ||
@@ -140,6 +139,60 @@ func TestPipelineOptions(t *testing.T) {
 	got.Progress(repro.ProgressEvent{})
 	if !called {
 		t.Fatal("preserved progress callback is not the registered one")
+	}
+}
+
+// mapSolveCache is an in-memory SolveCache keyed by the profile hash.
+type mapSolveCache map[string]*repro.SolveResult
+
+func (c mapSolveCache) Lookup(p *repro.Profile) (*repro.SolveResult, bool) {
+	res, ok := c[p.Hash()]
+	return res, ok
+}
+
+func (c mapSolveCache) Store(p *repro.Profile, res *repro.SolveResult) { c[p.Hash()] = res }
+
+// TestPipelineSolveUsesCache: Pipeline.Solve is Recover's solve stage, so it
+// honours WithSolveCache — a second solve of the same profile replays the
+// cached codes without building a SAT backend or running a conflict.
+func TestPipelineSolveUsesCache(t *testing.T) {
+	ctx := context.Background()
+	code := repro.NewHammingCode(16, 3)
+	prof := repro.ExactProfile(code, repro.Set12.Patterns(16))
+	var backends []sat.Backend
+	conflicts := func() (n int64) {
+		for _, b := range backends {
+			n += b.Statistics().Conflicts
+		}
+		return n
+	}
+	pipe := repro.NewPipeline(
+		repro.WithSolveCache(mapSolveCache{}),
+		repro.WithSolverBackend(func() repro.SolverBackend {
+			b := sat.New()
+			backends = append(backends, b)
+			return b
+		}),
+	)
+
+	first, err := pipe.Solve(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Unique || !first.Codes[0].EquivalentTo(code) {
+		t.Fatal("first solve did not recover the code")
+	}
+	solved, before := len(backends), conflicts()
+	second, err := pipe.Solve(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(backends) != solved || conflicts() != before {
+		t.Fatalf("cached solve built %d backends and ran %d conflicts, want 0 and 0",
+			len(backends)-solved, conflicts()-before)
+	}
+	if len(second.Codes) != len(first.Codes) || second.Codes[0].H().String() != first.Codes[0].H().String() {
+		t.Fatal("cached solve returned different codes")
 	}
 }
 
