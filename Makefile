@@ -8,7 +8,7 @@ GO ?= go
 # the file this expands to, so bench jobs no longer need per-PR edits.
 BENCH_TAG ?= pr6
 
-.PHONY: all build test perfbench-test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression
+.PHONY: all build test perfbench-test lint bench bench-baseline bench-gate serve-bench serve-bench-gate fuzz-smoke fmt serve-smoke cluster-smoke solver-regression loc
 
 all: build lint test perfbench-test
 
@@ -22,6 +22,11 @@ test:
 # which the root ./... pattern does not reach.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Net non-test Go line count (tracked from PR to PR): committed .go files
+# outside tests and outside the separate perfbench module.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/**' | xargs cat | wc -l
 
 lint:
 	$(GO) vet ./...
@@ -92,7 +97,7 @@ fuzz-smoke:
 solver-regression:
 	$(GO) test -race -v -run 'TestSolverGraded|TestDifferentialBackends|TestPortfolioOnBeerFormulas|TestGradingRatchetSane|TestCorpusWellFormed' ./internal/sat/satlib
 
-# Boot an ephemeral beerd, submit 8 concurrent FastRecovery jobs against
+# Boot an ephemeral beerd, submit 8 concurrent fast-window jobs against
 # simulated MfrB chips, assert monotonic per-stage progress and that every
 # recovered H matches ground truth (see internal/service/smoke.go).
 serve-smoke:

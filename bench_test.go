@@ -78,10 +78,11 @@ func BenchmarkWordLayout(b *testing.B) {
 // BenchmarkRecoverEndToEnd times the complete BEER pipeline on a simulated
 // chip (discovery + collection + SAT solve).
 func BenchmarkRecoverEndToEnd(b *testing.B) {
+	pipe := repro.NewPipeline(repro.WithFastWindows())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chip := repro.SimulatedChip(repro.MfrB, 16, uint64(i))
-		rep, err := repro.RecoverECCFunction(chip, repro.FastRecovery())
+		rep, err := pipe.Recover(context.Background(), chip)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,10 +96,11 @@ func BenchmarkRecoverEndToEnd(b *testing.B) {
 // collection fans out across same-model chips on the parallel engine and the
 // merged counts feed one solve (paper §6.3).
 func BenchmarkParallelRecoverEndToEnd(b *testing.B) {
+	pipe := repro.NewPipeline(repro.WithFastWindows())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chips := repro.SimulatedChips(repro.MfrB, 16, 2, uint64(2*i))
-		rep, err := repro.RecoverECCFunctionParallel(chips, repro.FastRecovery())
+		rep, err := pipe.Recover(context.Background(), chips...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,12 +3,12 @@ package core_test
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ondie"
+	"repro/internal/parallel"
 )
 
 func cancelTestChip(t *testing.T) *ondie.Chip {
@@ -51,26 +51,6 @@ func TestCollectCountsPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRecoverCancelMidCollection cancels a single-chip core.Recover from its
-// progress stream and checks the context error surfaces wrapped but
-// errors.Is-able.
-func TestRecoverCancelMidCollection(t *testing.T) {
-	opts := fastOpts()
-	opts.Collect.Rounds = 8
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var passes atomic.Int64
-	opts.Progress = func(ev core.Event) {
-		if ev.Stage == core.StageCollect && !ev.Done && passes.Add(1) == 2 {
-			cancel()
-		}
-	}
-	_, err := core.Recover(ctx, cancelTestChip(t), opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Recover returned %v, want context.Canceled", err)
-	}
-}
-
 // TestRecoverProgressEvents checks the event stream's shape on a successful
 // run: stages in order, every stage completed, collection passes counted
 // exactly, and the solve stage reporting the final candidate count.
@@ -78,7 +58,7 @@ func TestRecoverProgressEvents(t *testing.T) {
 	opts := fastOpts()
 	var events []core.Event
 	opts.Progress = func(ev core.Event) { events = append(events, ev) }
-	rep, err := core.Recover(context.Background(), cancelTestChip(t), opts)
+	rep, err := parallel.New(1).Recover(context.Background(), []core.Chip{cancelTestChip(t)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,15 @@
 // (ExactProfile) derived analytically from the retention-error model, used
 // for the correctness evaluation (paper §6.1) without Monte-Carlo noise.
 //
-// Entry points: Recover is the whole methodology against one Chip (with
-// RecoverOptions.UsePlanner it becomes RecoverPlanned, the adaptive
-// collect↔solve loop); Observe is its experimental front half (discovery +
-// collection) for callers that aggregate across chips (internal/parallel
-// does); Solve is the one exact solve entry, a SolveSession that defers
+// Entry points: the stages of a recovery — DiscoverChip (§5.1), CollectCounts
+// (§5.1.3, with CollectPassOffset keeping progress monotonic across several
+// sweeps), Counts.Threshold (§5.2) and SolveStage (§5.3, cache-aware) — are
+// composed by the repository's one recover driver, parallel.Engine.Recover,
+// which treats a single chip as the one-chip case of a same-model fleet.
+// Solve is the one exact solve entry, a SolveSession that defers
 // multi-CHARGED entries until a candidate violates them (SolveNoisy is its
 // noise-tolerant counterpart); Planner interleaves collection with solving
-// and stops at uniqueness; SolveStage is the cache-aware solve used by both
-// exhaustive Recover paths and by repro's Pipeline.Solve.
+// and stops at uniqueness; SolveStage is also repro's Pipeline.Solve.
 // Profile.Canonical/Profile.Hash define the profile's content address —
 // the key of the recovered-code registry (internal/store) — and SolveCache
 // is the interface through which a registry short-circuits repeated solves

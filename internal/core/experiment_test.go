@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/ondie"
+	"repro/internal/parallel"
 )
 
 // testChip builds a small simulated chip: k=16 datawords keep the pattern
@@ -146,7 +147,7 @@ func TestRecoverEndToEnd(t *testing.T) {
 			opts := core.DefaultRecoverOptions()
 			opts.Collect.Windows = testWindows()
 			opts.Collect.Rounds = 3
-			rep, err := core.Recover(context.Background(), chip, opts)
+			rep, err := parallel.New(1).Recover(context.Background(), []core.Chip{chip}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +173,7 @@ func TestRecoverRobustToTransientErrors(t *testing.T) {
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.ThresholdMinCount = 3
-	rep, err := core.Recover(context.Background(), chip, opts)
+	rep, err := parallel.New(1).Recover(context.Background(), []core.Chip{chip}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +239,20 @@ func TestCollectedAntiProfileMatchesExact(t *testing.T) {
 }
 
 // End-to-end recovery using both true- and anti-cell regions of a
-// manufacturer C chip: the anti entries go through Solve's deferred (lazy)
+// manufacturer C chip: the anti entries go through Solve's deferred
 // encoding like every other multi-CHARGED entry.
-func TestRecoverWithAntiRowsAndLazySolver(t *testing.T) {
+func TestRecoverWithAntiRows(t *testing.T) {
 	chip := testChip(t, ondie.MfrC, 384, 0)
 	opts := core.DefaultRecoverOptions()
 	opts.Collect.Windows = testWindows()
 	opts.Collect.Rounds = 3
 	opts.UseAntiRows = true
-	rep, err := core.Recover(context.Background(), chip, opts)
+	rep, err := parallel.New(1).Recover(context.Background(), []core.Chip{chip}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Result.Unique || !rep.Result.Codes[0].EquivalentTo(chip.GroundTruthCode()) {
-		t.Fatal("anti-augmented lazy recovery failed")
+		t.Fatal("anti-augmented recovery failed")
 	}
 	// The profile must contain both polarities.
 	sawAnti := false

@@ -87,7 +87,7 @@ func (p *Profile) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SolveCache short-circuits the solve stage of Recover: before invoking the
+// SolveCache short-circuits a recovery's solve stage (SolveStage): before invoking the
 // SAT search, the pipeline asks the cache for a Result previously computed
 // for a profile with the same canonical hash, and after a successful search
 // it offers the fresh Result back. Implementations must be safe for

@@ -67,9 +67,12 @@ func solveBoth(t *testing.T, name string, prof *Profile, opts SolveOptions) *Res
 	return deferred
 }
 
-// collectedProfile is the thresholded profile Recover would solve for a
-// simulated chip (the repro.SimulatedChip configuration) under fast windows:
-// a 4–48 minute sweep, three rounds, the §5.2 filter at its defaults.
+// collectedProfile is the thresholded profile a one-chip recovery would
+// solve for a simulated chip (the repro.SimulatedChip configuration) under
+// fast windows: a 4–48 minute sweep, three rounds, the §5.2 filter at its
+// defaults. It composes the recovery stages by hand (this internal test
+// cannot import the parallel driver): discovery, the main sweep, then the
+// inverted 1-CHARGED anti-cell sweep.
 func collectedProfile(t *testing.T, m ondie.Manufacturer, k int, seed uint64, anti bool) *Profile {
 	t.Helper()
 	rows := 192
@@ -82,14 +85,24 @@ func collectedProfile(t *testing.T, m ondie.Manufacturer, k int, seed uint64, an
 		opts.Collect.Windows = append(opts.Collect.Windows, time.Duration(w)*time.Minute)
 	}
 	opts.Collect.Rounds = 3
-	opts.UseAntiRows = anti
-	obs, err := Observe(context.Background(), chip, opts)
+	ctx := context.Background()
+	classes, trueRows, layout, err := DiscoverChip(chip, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := obs.Counts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount)
-	if obs.AntiCounts != nil {
-		prof = prof.Append(obs.AntiCounts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount))
+	counts, err := CollectCounts(ctx, chip, trueRows, layout, opts.PatternSet.Patterns(k), opts.Collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := counts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount)
+	if antiRows := AntiRows(classes); anti && len(antiRows) > 0 {
+		antiOpts := opts.Collect
+		antiOpts.Invert = true
+		antiCounts, err := CollectCounts(ctx, chip, antiRows, layout, OneCharged(k), antiOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof = prof.Append(antiCounts.Threshold(opts.ThresholdFraction, opts.ThresholdMinCount))
 	}
 	return prof
 }

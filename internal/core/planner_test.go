@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/ondie"
+	"repro/internal/parallel"
 )
 
 // oracleCollect fabricates noise-free counts for a batch of patterns from a
@@ -170,7 +171,7 @@ func TestRecoverPlannedEndToEnd(t *testing.T) {
 	opts.Collect.Rounds = 3
 
 	chipFull := testChip(t, ondie.MfrB, 192, 0)
-	full, err := core.Recover(context.Background(), chipFull, opts)
+	full, err := parallel.New(1).Recover(context.Background(), []core.Chip{chipFull}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRecoverPlannedEndToEnd(t *testing.T) {
 
 	opts.UsePlanner = true
 	chipPlanned := testChip(t, ondie.MfrB, 192, 0)
-	planned, err := core.Recover(context.Background(), chipPlanned, opts)
+	planned, err := parallel.New(1).Recover(context.Background(), []core.Chip{chipPlanned}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestRecoverPlannedRejectsAntiRows(t *testing.T) {
 	opts := core.DefaultRecoverOptions()
 	opts.UsePlanner = true
 	opts.UseAntiRows = true
-	if _, err := core.Recover(context.Background(), testChip(t, ondie.MfrB, 64, 0), opts); err == nil {
+	if _, err := parallel.New(1).Recover(context.Background(), []core.Chip{testChip(t, ondie.MfrB, 64, 0)}, opts); err == nil {
 		t.Fatal("planner + anti rows did not error")
 	}
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,68 +12,77 @@ import (
 	"repro/internal/core"
 )
 
-// TestRecoverCancelMidCollection cancels a multi-chip recovery from inside
-// its own progress stream — i.e. mid-collection — and asserts that Recover
-// (a) returns context.Canceled, (b) returns promptly (within one collection
-// round, bounded generously here), and (c) leaks no worker goroutines.
-// Run under -race (CI does), this also exercises the progress serialization.
+// TestRecoverCancelMidCollection cancels a recovery from inside its own
+// progress stream — i.e. mid-collection — on one chip and on a three-chip
+// fleet, and asserts that Recover (a) returns an errors.Is-able
+// context.Canceled, (b) returns promptly (within one collection round,
+// bounded generously here), and (c) leaks no worker goroutines. Run under
+// -race (CI does), this also exercises the progress serialization.
 func TestRecoverCancelMidCollection(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	for _, chips := range []int{1, 3} {
+		t.Run(fmt.Sprintf("chips=%d", chips), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
 
-	opts := core.DefaultRecoverOptions()
-	opts.Collect = collectOpts()
-	opts.Collect.Rounds = 8 // long enough that cancellation lands mid-sweep
+			opts := core.DefaultRecoverOptions()
+			opts.Collect = collectOpts()
+			opts.Collect.Rounds = 8 // long enough that cancellation lands mid-sweep
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var passes atomic.Int64
-	opts.Progress = func(ev core.Event) {
-		// Cancel after the third completed collection pass of any chip:
-		// the run is then provably mid-collection.
-		if ev.Stage == core.StageCollect && !ev.Done && passes.Add(1) == 3 {
-			cancel()
-		}
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var passes atomic.Int64
+			opts.Progress = func(ev core.Event) {
+				// Cancel after the third completed collection pass of any
+				// chip: the run is then provably mid-collection.
+				if ev.Stage == core.StageCollect && !ev.Done && passes.Add(1) == 3 {
+					cancel()
+				}
+			}
 
-	e := New(4)
-	chips := []core.Chip{testChip(t, 300), testChip(t, 301), testChip(t, 302)}
+			e := New(4)
+			fleet := make([]core.Chip, chips)
+			for i := range fleet {
+				fleet[i] = testChip(t, uint64(300+i))
+			}
 
-	type outcome struct {
-		rep *core.Report
-		err error
-	}
-	done := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		rep, err := e.Recover(ctx, chips, opts)
-		done <- outcome{rep, err}
-	}()
+			type outcome struct {
+				rep *core.Report
+				err error
+			}
+			done := make(chan outcome, 1)
+			start := time.Now()
+			go func() {
+				rep, err := e.Recover(ctx, fleet, opts)
+				done <- outcome{rep, err}
+			}()
 
-	var out outcome
-	select {
-	case out = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Recover did not return within 30s of cancellation")
-	}
-	if !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("Recover returned %v, want context.Canceled", out.err)
-	}
-	if out.rep != nil && out.rep.Result != nil {
-		t.Fatalf("cancelled Recover still produced a solve result")
-	}
-	t.Logf("cancelled after %d passes, returned in %v", passes.Load(), time.Since(start))
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Recover did not return within 30s of cancellation")
+			}
+			if !errors.Is(out.err, context.Canceled) {
+				t.Fatalf("Recover returned %v, want context.Canceled", out.err)
+			}
+			if out.rep != nil && out.rep.Result != nil {
+				t.Fatalf("cancelled Recover still produced a solve result")
+			}
+			t.Logf("cancelled after %d passes, returned in %v", passes.Load(), time.Since(start))
 
-	// All engine goroutines are joined before Recover returns; give the
-	// runtime a moment to retire exiting goroutines, then compare counts.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d at baseline", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
+			// All engine goroutines are joined before Recover returns; give
+			// the runtime a moment to retire exiting goroutines, then
+			// compare counts.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if n := runtime.NumGoroutine(); n <= baseline {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d now vs %d at baseline", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

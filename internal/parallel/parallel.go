@@ -22,9 +22,11 @@
 // Entry points: New/Default build or share an engine; ForEach is the
 // scheduling primitive (bounded workers, deterministic lowest-index error,
 // full goroutine join even on cancellation); Simulate/SimulateBatch shard
-// EINSim runs; CollectShards and Recover implement the §6.3 multi-chip
-// merge, with Recover also consulting core.RecoverOptions.SolveCache so
-// same-fingerprint chips skip the SAT solve.
+// EINSim runs; CollectShards implements the §6.3 multi-chip merge; Recover
+// is the repository's one recover driver — discovery, collection by full
+// sweep or adaptive planner, threshold and solve for one or more same-model
+// chips — consulting core.RecoverOptions.SolveCache so same-fingerprint
+// profiles skip the SAT search.
 package parallel
 
 import (

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ondie"
 )
 
 // TestRecoverPlannedMultiChip runs the adaptive planner over a two-chip
@@ -56,49 +57,76 @@ func TestRecoverPlannedMultiChip(t *testing.T) {
 	}
 }
 
-// TestRecoverPlannedProgressMonotonic: planned collection restarts the
-// per-batch pass counters internally; the event stream visible to callers
-// must stay monotonic per chip (Pass never decreases, never exceeds
-// Passes) and carry planner solve progress (patterns used vs. planned).
-func TestRecoverPlannedProgressMonotonic(t *testing.T) {
-	opts := core.DefaultRecoverOptions()
-	opts.Collect = collectOpts()
-	opts.UsePlanner = true
+// TestRecoverProgressMonotonic: every multi-sweep collection (the anti-cell
+// sweep after the main one, the planner's batches) restarts the per-sweep
+// pass counters internally; the event stream visible to callers must stay
+// monotonic per chip (Pass never decreases, never exceeds Passes), and the
+// run must end in exactly one solve-done event — for both collection
+// strategies on a two-chip fleet. Planned runs must also carry planner
+// solve progress (patterns used vs. planned).
+func TestRecoverProgressMonotonic(t *testing.T) {
+	cases := []struct {
+		name    string
+		mfr     ondie.Manufacturer
+		anti    bool
+		planner bool
+	}{
+		{name: "sweep", mfr: ondie.MfrB},
+		{name: "sweep+anti", mfr: ondie.MfrC, anti: true},
+		{name: "planner", mfr: ondie.MfrB, planner: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.DefaultRecoverOptions()
+			opts.Collect = collectOpts()
+			opts.UseAntiRows = tc.anti
+			opts.UsePlanner = tc.planner
 
-	var mu sync.Mutex
-	lastPass := map[int]int{}
-	sawPlanner := false
-	violations := 0
-	opts.Progress = func(ev core.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch ev.Stage {
-		case core.StageCollect:
-			if ev.Done {
-				return
+			var mu sync.Mutex
+			lastPass := map[int]int{}
+			sawPlanner := false
+			violations, solveDone := 0, 0
+			opts.Progress = func(ev core.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch ev.Stage {
+				case core.StageCollect:
+					if ev.Done {
+						return
+					}
+					if ev.Pass < lastPass[ev.Chip] || ev.Pass > ev.Passes {
+						violations++
+					}
+					lastPass[ev.Chip] = ev.Pass
+				case core.StageSolve:
+					if ev.PatternsUsed > 0 && ev.PatternsPlanned >= ev.PatternsUsed {
+						sawPlanner = true
+					}
+					if ev.Done {
+						solveDone++
+					}
+				}
 			}
-			if ev.Pass < lastPass[ev.Chip] || ev.Pass > ev.Passes {
-				violations++
+			chips := []core.Chip{mfrChip(tc.mfr, 210), mfrChip(tc.mfr, 211)}
+			rep, err := New(2).Recover(context.Background(), chips, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			lastPass[ev.Chip] = ev.Pass
-		case core.StageSolve:
-			if ev.PatternsUsed > 0 && ev.PatternsPlanned >= ev.PatternsUsed {
-				sawPlanner = true
+			if violations > 0 {
+				t.Fatalf("%d non-monotonic collect pass events", violations)
 			}
-		}
-	}
-	chips := []core.Chip{testChip(t, 210), testChip(t, 211)}
-	rep, err := New(2).Recover(context.Background(), chips, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations > 0 {
-		t.Fatalf("%d non-monotonic collect pass events", violations)
-	}
-	if !sawPlanner {
-		t.Fatal("no solve event carried planner pattern progress")
-	}
-	if !rep.Result.Unique {
-		t.Fatalf("planned recovery not unique (%d candidates)", len(rep.Result.Codes))
+			if len(lastPass) != len(chips) {
+				t.Fatalf("collect pass events from %d chips, want %d", len(lastPass), len(chips))
+			}
+			if solveDone != 1 {
+				t.Fatalf("%d solve-done events, want exactly 1", solveDone)
+			}
+			if tc.planner && !sawPlanner {
+				t.Fatal("no solve event carried planner pattern progress")
+			}
+			if !rep.Result.Unique {
+				t.Fatalf("recovery not unique (%d candidates)", len(rep.Result.Codes))
+			}
+		})
 	}
 }

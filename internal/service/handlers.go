@@ -276,7 +276,7 @@ func buildRecoverRunner(spec JobSpec, extraOpts []repro.Option) (runner, error) 
 			ProfileHash: report.Profile.Hash(),
 			Unique:      report.Result.Unique,
 			Candidates:  len(report.Result.Codes),
-			CollectMS:   report.CollectTime.Seconds() * 1e3,
+			CollectMS:   (report.DiscoveryTime + report.CollectTime).Seconds() * 1e3,
 			SolveMS:     report.SolveTime.Seconds() * 1e3,
 			Solver: &SolverStats{
 				Conflicts:       report.Result.Stats.Conflicts,
@@ -425,7 +425,8 @@ type RecoverResult struct {
 	Noise *NoiseReport `json:"noise,omitempty"`
 	// Solver carries the run's SAT-engine counters.
 	Solver *SolverStats `json:"solver,omitempty"`
-	// CollectMS and SolveMS time the experiment and solver phases.
+	// CollectMS and SolveMS time the experiment phase (discovery plus
+	// collection) and the solver phase.
 	CollectMS float64 `json:"collect_ms"`
 	SolveMS   float64 `json:"solve_ms"`
 }

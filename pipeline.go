@@ -130,9 +130,8 @@ func WithTemperature(celsius float64) Option {
 	return func(p *Pipeline) { p.recover.Collect.TempC = celsius }
 }
 
-// WithFastWindows tunes the sweep for small simulated chips (the
-// configuration FastRecovery used to return): the canonical sweep up to 48
-// minutes, three rounds.
+// WithFastWindows tunes the sweep for small simulated chips: the canonical
+// sweep up to 48 minutes, three rounds.
 func WithFastWindows() Option {
 	return func(p *Pipeline) {
 		p.recover.Collect.Windows = sweepTo(48)
@@ -345,13 +344,6 @@ func (p *Pipeline) Recover(ctx context.Context, chips ...Chip) (*Report, error) 
 		return nil, fmt.Errorf("repro: Recover needs at least one chip")
 	}
 	return p.engine.Recover(ctx, chips, p.recover)
-}
-
-// Observe runs only the experimental front half of recovery against one chip
-// (discovery + raw profile collection), leaving thresholding and solving to
-// the caller — the building block for custom multi-chip aggregation.
-func (p *Pipeline) Observe(ctx context.Context, chip Chip) (*core.ChipObservations, error) {
-	return core.Observe(ctx, chip, p.recover)
 }
 
 // Solve searches for every ECC function consistent with a miscorrection

@@ -12,8 +12,8 @@ import (
 	"repro/internal/sat"
 )
 
-// TestPipelineRecover runs the new functional-options API end to end and
-// checks it agrees with the deprecated struct-options shim.
+// TestPipelineRecover runs the functional-options API end to end on a
+// two-chip fleet and checks the chip-stamped progress stream.
 func TestPipelineRecover(t *testing.T) {
 	var (
 		mu     sync.Mutex
@@ -40,15 +40,6 @@ func TestPipelineRecover(t *testing.T) {
 		t.Fatal("pipeline recovered the wrong function")
 	}
 
-	// The deprecated shim must still produce an equivalent function.
-	legacy, err := repro.RecoverECCFunction(repro.SimulatedChip(repro.MfrB, 16, 9), repro.FastRecovery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Result.Codes[0].EquivalentTo(rep.Result.Codes[0]) {
-		t.Fatal("deprecated shim and pipeline disagree")
-	}
-
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events) == 0 {
@@ -69,6 +60,26 @@ func TestPipelineRecover(t *testing.T) {
 	}
 	if !solveDone {
 		t.Fatal("no solve-done event")
+	}
+}
+
+// TestPipelineRecoverTimings: both collection strategies time discovery
+// separately from collection, so DiscoveryTime is set on sweeps and on
+// planned runs alike.
+func TestPipelineRecoverTimings(t *testing.T) {
+	for _, planned := range []bool{false, true} {
+		opts := []repro.Option{repro.WithFastWindows()}
+		if planned {
+			opts = append(opts, repro.WithPlanner())
+		}
+		rep, err := repro.NewPipeline(opts...).Recover(context.Background(), repro.SimulatedChip(repro.MfrB, 16, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DiscoveryTime <= 0 || rep.CollectTime <= 0 || rep.SolveTime <= 0 {
+			t.Fatalf("planned=%t: discovery %v, collect %v, solve %v; want all > 0",
+				planned, rep.DiscoveryTime, rep.CollectTime, rep.SolveTime)
+		}
 	}
 }
 
@@ -127,7 +138,7 @@ func TestPipelineOptions(t *testing.T) {
 	called := false
 	pipe = repro.NewPipeline(
 		repro.WithProgress(func(repro.ProgressEvent) { called = true }),
-		repro.WithRecoverOptions(repro.FastRecovery()),
+		repro.WithRecoverOptions(repro.NewPipeline(repro.WithFastWindows()).RecoverOptions()),
 	)
 	got := pipe.RecoverOptions()
 	if got.Collect.Rounds != 3 {

@@ -34,21 +34,15 @@
 // streams stage/round/candidate events to the caller (the CLIs and the beerd
 // job service consume them for live status).
 //
-// The pre-Pipeline one-shot helpers (RecoverECCFunction, SolveProfile,
-// ProfileWord, Simulate, ...) remain as thin deprecated shims that run with
-// context.Background(); see README.md for the migration table.
-//
 // See examples/ for complete programs and DESIGN.md for the experiment map.
 package repro
 
 import (
-	"context"
 	"math/rand/v2"
 
 	"repro/internal/beep"
 	"repro/internal/core"
 	"repro/internal/ecc"
-	"repro/internal/einsim"
 	"repro/internal/noise"
 	"repro/internal/ondie"
 	"repro/internal/parallel"
@@ -266,83 +260,3 @@ func NewEngine(workers int) *Engine { return parallel.New(workers) }
 
 // DefaultEngine returns the shared parallel experiment engine.
 func DefaultEngine() *Engine { return parallel.Default() }
-
-// FastRecovery returns recovery options tuned for small simulated chips.
-//
-// Deprecated: Use NewPipeline(WithFastWindows()) — the Pipeline carries the
-// same configuration plus a context and progress stream. FastRecovery
-// remains for callers still on the struct-options shims.
-func FastRecovery() RecoverOptions {
-	opts := core.DefaultRecoverOptions()
-	opts.Collect.Windows = sweepTo(48)
-	opts.Collect.Rounds = 3
-	return opts
-}
-
-// RecoverECCFunction runs the complete BEER methodology (paper §5) against
-// any Chip with the legacy struct options.
-//
-// Deprecated: Use NewPipeline(WithRecoverOptions(opts)).Recover(ctx, chip)
-// — it adds cancellation, progress reporting (WithProgress) and multi-chip
-// fan-out. This shim runs with context.Background() (uncancellable).
-func RecoverECCFunction(chip Chip, opts RecoverOptions) (*Report, error) {
-	return core.Recover(context.Background(), chip, opts)
-}
-
-// RecoverECCFunctionParallel runs the complete BEER methodology against
-// several chips of the same model on the default engine.
-//
-// Deprecated: Use NewPipeline(WithRecoverOptions(opts)).Recover(ctx,
-// chips...). This shim runs with context.Background() (uncancellable).
-func RecoverECCFunctionParallel(chips []Chip, opts RecoverOptions) (*Report, error) {
-	return parallel.Default().Recover(context.Background(), chips, opts)
-}
-
-// SolveProfile searches for every ECC function consistent with a
-// miscorrection profile (paper §5.3).
-//
-// Deprecated: Use NewPipeline(WithParityBits(opts.ParityBits),
-// WithMaxSolutions(opts.MaxSolutions),
-// WithSolveBudget(opts.MaxConflicts)).Solve(ctx, profile), which supports
-// cancellation mid-search. This shim runs with context.Background().
-func SolveProfile(p *Profile, opts core.SolveOptions) (*SolveResult, error) {
-	return core.Solve(context.Background(), p, opts)
-}
-
-// ProfileWord runs BEEP (paper §7.1) against one testable ECC word using a
-// known (typically BEER-recovered) code.
-//
-// Deprecated: Use NewPipeline(WithBEEPOptions(opts)).ProfileWord(ctx, code,
-// word, seed). This shim runs with context.Background().
-func ProfileWord(code *Code, word beep.WordTester, opts BEEPOptions, seed uint64) *BEEPOutcome {
-	prof := beep.NewProfiler(code, opts, rand.New(rand.NewPCG(seed, 0xBEEB)))
-	out, err := prof.Run(context.Background(), word)
-	if err != nil {
-		// Unreachable: Background() never cancels and Run has no other
-		// error path.
-		panic(err)
-	}
-	return out
-}
-
-// Simulate runs an EINSim-style word-level Monte-Carlo experiment serially
-// (used for the paper's Figure 1 and secondary-ECC co-design studies,
-// §7.2.1).
-//
-// Deprecated: Use NewPipeline().Simulate(ctx, cfg, seed). The Pipeline form
-// shards across the engine's worker pool (bit-identical for any worker
-// count, but drawn from different streams than this serial shim); keep the
-// shim only where stream-exact compatibility with old serial results
-// matters.
-func Simulate(cfg einsim.Config, seed uint64) (*einsim.Result, error) {
-	return einsim.Run(cfg, rand.New(rand.NewPCG(seed, 0x51E)))
-}
-
-// SimulateParallel is Simulate sharded across the default engine's worker
-// pool.
-//
-// Deprecated: Use NewPipeline().Simulate(ctx, cfg, seed) — identical
-// results, plus cancellation. This shim runs with context.Background().
-func SimulateParallel(cfg einsim.Config, seed uint64) (*einsim.Result, error) {
-	return parallel.Default().Simulate(context.Background(), cfg, seed)
-}
